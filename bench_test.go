@@ -16,6 +16,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -212,19 +213,56 @@ func BenchmarkSolverCrossCheck(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths -------------------------------------
 
-// BenchmarkSolveACSN6 measures one production ACS solve (N=6, ratio 0.1).
-func BenchmarkSolveACSN6(b *testing.B) {
+// solveBenchSet is the fixed task set of the solver benchmarks (N=6,
+// ratio 0.1, utilisation 0.7, seed 1).
+func solveBenchSet(tb testing.TB) *task.Set {
+	tb.Helper()
 	rng := stats.NewRNG(1)
 	set, err := workload.RandomFeasible(rng, workload.RandomConfig{
 		N: 6, Ratio: 0.1, Utilization: 0.7,
 	}, 50, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return set
+}
+
+// benchSolve times one production solve of the fixed set per iteration.
+func benchSolve(b *testing.B, obj core.Objective) {
+	set := solveBenchSet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(set, core.Config{Objective: core.AverageCase}); err != nil {
+		if _, err := core.Build(set, core.Config{Objective: obj}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveACSN6 measures one production ACS solve (N=6, ratio 0.1).
+func BenchmarkSolveACSN6(b *testing.B) { benchSolve(b, core.AverageCase) }
+
+// BenchmarkSolveWCS measures one production WCS solve of the same set.
+func BenchmarkSolveWCS(b *testing.B) { benchSolve(b, core.WorstCase) }
+
+// TestSolveAllocsGate gates the allocation counts of the two solves the
+// benchmarks above time. Allocations are deterministic — the solver
+// allocates its workspace once per solve and its sweeps allocate nothing —
+// so a count above the recorded one is a regression on any host, where
+// wall-clock time would only be noise.
+func TestSolveAllocsGate(t *testing.T) {
+	set := solveBenchSet(t)
+	for _, tc := range []struct {
+		obj core.Objective
+		max float64
+	}{{core.WorstCase, 112}, {core.AverageCase, 112}} {
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := core.Build(set, core.Config{Objective: tc.obj}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v solve: %.0f allocations", tc.obj, allocs)
+		if allocs > tc.max {
+			t.Errorf("%v solve allocates %.0f times, gate %.0f", tc.obj, allocs, tc.max)
 		}
 	}
 }

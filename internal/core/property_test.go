@@ -20,6 +20,7 @@ package core_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -257,4 +258,31 @@ func TestSimContextCancel(t *testing.T) {
 	if _, err := sim.Run(s, sim.Config{Hyperperiods: 50, Ctx: context.Background()}); err != nil {
 		t.Fatalf("live context must simulate: %v", err)
 	}
+}
+
+// deadReservationBody is a submit body whose WCS solution leaves piece
+// T4,6,2 holding ~1e-9 worst-case cycles: below DeadWork, so it never
+// executes, while the chain clock already sits ~0.95 ms past its 175 ms
+// deadline. The all-WCEC overshoot check used to count that clock against
+// the dead piece and reject the schedule, although evalStep runs nothing
+// for it, Verify's chain checks exempt it and sim.Compile drops it.
+const deadReservationBody = `{"tasks":[` +
+	`{"name":"T1","period_ms":10,"wcec":13.378184111943947,"acec":7.3580012615691714,"bcec":1.3378184111943947,"ceff":1},` +
+	`{"name":"T2","period_ms":10,"wcec":3.6378610742178514,"acec":2.0008235908198184,"bcec":0.36378610742178513,"ceff":1},` +
+	`{"name":"T4","period_ms":25,"wcec":8.651539752536115,"acec":4.758346863894864,"bcec":0.8651539752536115,"ceff":1},` +
+	`{"name":"T3","period_ms":200,"wcec":150.46677825647498,"acec":82.75672804106124,"bcec":15.0466778256475,"ceff":1}]}`
+
+// TestDeadReservationBodySolves pins that body: admission accepts it, and
+// the WCS solve and the warm-started ACS solve both verify.
+func TestDeadReservationBodySolves(t *testing.T) {
+	var set task.Set
+	if err := json.Unmarshal([]byte(deadReservationBody), &set); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Feasible(&set, core.Config{}); err != nil {
+		t.Fatalf("admission: %v", err)
+	}
+	acs, wcs := solvePair(t, &set, core.Config{})
+	assertScheduleInvariants(t, "WCS", wcs, 1)
+	assertScheduleInvariants(t, "ACS", acs, 1)
 }

@@ -78,15 +78,17 @@ func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
 // On top of the prefix caches it keeps a *suffix memo*: a snapshot of the
 // committed solution recording, for every position, the entry time of the
 // greedy-reclamation recursion and the total energy of the order suffix from
-// that position. The recursion from a position q is a pure function of the
-// entry time and of (End, loads) over [q, n); and whenever the entry time is
-// at or before q's release, the piece starts at its release and the suffix
-// becomes independent of the entry time entirely. A trial evaluation can
-// therefore stop at the first release-bound piece past the trial's dirty
-// region and add the memoised suffix energy, instead of re-running the whole
-// order tail. This is the dirty-region invalidation that makes golden-section
+// that position. The recursion from a work-bearing position q is a pure
+// function of its effective entry time max(t, release) and of (End, loads)
+// over [q, n). A trial evaluation can therefore stop at the first position
+// past the trial's dirty region whose effective entry time equals the
+// snapshot's and add the memoised suffix energy, instead of re-running the
+// whole order tail. Since a piece running its full budget unclamped
+// finishes exactly at its End (see step), a perturbation re-converges one
+// work-bearing piece after the dirty region, or sooner at a release-bound
+// start. This is the dirty-region invalidation that makes golden-section
 // line searches cheap: moving end-time e_u re-evaluates pieces from u forward
-// only until the perturbation is absorbed by a release-bound start.
+// only until the perturbation is absorbed.
 //
 // The evaluator is embedded in the solver workspace and reset per sweep, so
 // the golden-section inner loop runs without heap allocations.
@@ -144,11 +146,24 @@ func (e *objEval) step(st *evalState, q int, work float64) {
 		v, tc = e.vMin, e.tcVMin
 	} else if tc < e.tcVMax {
 		v, tc = e.vMax, e.tcVMax
-	} else {
-		v = e.k / tc
+	} else if v = e.k / tc; work == w {
+		// Full budget at an unclamped voltage: a + w·(window/w) is End.
+		st.energy += e.ceff[q] * v * v * work
+		st.t = e.end[q]
+		return
 	}
 	st.energy += e.ceff[q] * v * v * work
 	st.t = a + work*tc
+}
+
+// entryTime is the time a work-bearing piece released at r actually starts
+// when the recursion reaches it at t. The suffix of the recursion from that
+// piece is a pure function of this value and of the inputs over the suffix.
+func entryTime(t, r float64) float64 {
+	if r > t {
+		return r
+	}
+	return t
 }
 
 // reset points the evaluator at the schedule's current objective and rebuilds
@@ -231,8 +246,9 @@ func (e *objEval) invalidate(pos int) {
 
 // resnap refreshes the suffix memo from position `from` after a commit whose
 // dirty region ends before `stable` (no position >= stable changed). The pass
-// itself uses the memo: it stops as soon as the recursion re-joins a
-// release-bound position whose existing snapshot entry is still consistent.
+// itself uses the memo: it stops as soon as the recursion re-joins the
+// effective entry time of a position whose snapshot entry is still
+// consistent.
 // Requires the prefix cache at `from` to be valid for the committed solution.
 func (e *objEval) resnap(from, stable int) {
 	n := len(e.s.Plan.Subs)
@@ -247,7 +263,7 @@ func (e *objEval) resnap(from, stable int) {
 		q := from
 		for ; q < n; q++ {
 			if q >= stable && wc[q] > deadWork && loads[q] > 0 &&
-				st.t <= rel[q] && snapT[q] <= rel[q] {
+				entryTime(st.t, rel[q]) == entryTime(snapT[q], rel[q]) {
 				break // suffix entries [q, n] are already consistent
 			}
 			snapT[q] = st.t
@@ -293,12 +309,12 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 					continue
 				}
 				r := rel[q]
-				if t <= r {
-					if q >= stable && snapT[q] <= r {
-						energy += snapSuf[q]
-						break
-					}
+				if t < r {
 					t = r
+				}
+				if q >= stable && t == entryTime(snapT[q], r) {
+					energy += snapSuf[q]
+					break
 				}
 				window := end[q] - t
 				var v, tc float64
@@ -308,8 +324,10 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 					v, tc = vMin, tcVMin
 				} else if tc < tcVMax {
 					v, tc = vMax, tcVMax
-				} else {
-					v = k / tc
+				} else if v = k / tc; work == w {
+					energy += ceff[q] * v * v * work
+					t = end[q] // see step: the full budget ends at End
+					continue
 				}
 				energy += ceff[q] * v * v * work
 				t += work * tc
@@ -319,7 +337,7 @@ func (e *objEval) energyFrom(pos, stable int) float64 {
 		}
 		for q := pos; q < n; q++ {
 			if q >= stable && wc[q] > deadWork && loads[q] > 0 &&
-				st.t <= rel[q] && snapT[q] <= rel[q] {
+				entryTime(st.t, rel[q]) == entryTime(snapT[q], rel[q]) {
 				st.energy += snapSuf[q]
 				break
 			}

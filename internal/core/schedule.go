@@ -147,6 +147,7 @@ func (s *Schedule) evalStep(st *evalState, pos int, work float64) {
 		// Inlined SimpleInverse VoltageForWindow + CycleTime, reformulated
 		// around the cycle time so the common (unclamped) case needs two
 		// divisions and the clamped cases one.
+		ceff := s.Plan.Set.Tasks[su.TaskIndex].Ceff
 		window := s.End[pos] - a
 		var tc float64
 		if window <= 0 {
@@ -155,10 +156,14 @@ func (s *Schedule) evalStep(st *evalState, pos int, work float64) {
 			v, tc = s.fastVMin, s.fastTcVMin
 		} else if tc < s.fastTcVMax {
 			v, tc = s.fastVMax, s.fastTcVMax
-		} else {
-			v = s.fastK / tc
+		} else if v = s.fastK / tc; work == s.WCWork[pos] {
+			// Full budget at an unclamped voltage: a + w·(window/w) is End,
+			// written exactly so the recursion re-converges onto the
+			// committed chain (objEval.step does the same).
+			st.energy += ceff * v * v * work
+			st.t = s.End[pos]
+			return
 		}
-		ceff := s.Plan.Set.Tasks[su.TaskIndex].Ceff
 		st.energy += ceff * v * v * work
 		st.t = a + work*tc
 		return
@@ -192,7 +197,8 @@ func (s *Schedule) ObjectiveEnergy() float64 {
 // actual is indexed by instance index (plan.Instances order); each
 // instance's cycles are consumed across its pieces in execution order, up to
 // each piece's worst-case budget. It returns the energy and the worst
-// deadline overshoot in ms (0 when all deadlines hold).
+// deadline overshoot in ms (0 when all deadlines hold) over the pieces that
+// execute.
 func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64, err error) {
 	if len(actual) != len(s.Plan.Instances) {
 		return 0, 0, fmt.Errorf("core: got %d actual workloads for %d instances",
@@ -204,8 +210,11 @@ func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64
 		su := &s.Plan.Subs[pos]
 		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
-		if w <= 0 {
-			continue // empty piece: executes nothing, no deadline to meet
+		if w <= 0 || s.WCWork[pos] <= deadWork {
+			// Empty piece or empty reservation (evalStep runs neither, and
+			// Verify's chain checks and sim.Compile skip dead pieces): it
+			// executes nothing, so it has no deadline to meet.
+			continue
 		}
 		s.evalStep(&st, pos, w)
 		if over := st.t - su.Deadline; over > worstOvershoot {

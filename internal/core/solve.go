@@ -443,11 +443,12 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 // sweepEnds optimises each end-time in turn by golden-section search over
 // its feasible interval, caching the recursion prefixes (one per load
 // vector) so coordinate pos only re-evaluates the order suffix [pos, n) —
-// and, via the suffix memo, usually far less: the walk stops at the first
-// release-bound piece past pos. With backward set, positions are visited
-// last-to-first; the prefix caches stay valid throughout because they depend
-// only on coordinates before pos, which a backward pass never touches after
-// computing them, while the suffix memo is refreshed behind each commit.
+// and, via the suffix memo, usually far less: the walk stops where it
+// re-converges onto the committed recursion past pos. With backward set,
+// positions are visited last-to-first; the prefix caches stay valid
+// throughout because they depend only on coordinates before pos, which a
+// backward pass never touches after computing them, while the suffix memo
+// is refreshed behind each commit.
 func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward bool) {
 	plan := s.Plan
 	n := len(plan.Subs)
@@ -541,8 +542,9 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 // the case-1/case-2 redistribution immediately. Pairs are visited in total
 // order of their earlier position (precomputed in the workspace) so a prefix
 // cache of the recursion can be advanced monotonically; a pair's evaluation
-// then only re-runs the order suffix starting at that position, up to the
-// first release-bound piece past the instance's last position.
+// then only re-runs the order suffix starting at that position, up to where
+// it re-converges onto the committed recursion past the instance's last
+// position.
 func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 	plan := s.Plan
 	tcMax := s.Model.CycleTime(s.Model.VMax())
@@ -683,7 +685,8 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 	ev := &ws.ev
 	ev.reset(s, sc)
 
-	saved := ws.saved
+	pt := &ws.push
+	pt.s, pt.tcMax = s, tcMax
 	prevAlive := 0.0
 	for pos := 0; pos < n; pos++ {
 		su := &plan.Subs[pos]
@@ -695,50 +698,107 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 		lo := math.Max(prevAlive, su.Release) + s.WCWork[pos]*tcMax
 		hi := su.Deadline
 		if hi > lo+c.LineTolMs {
-			copy(saved[pos:], s.End[pos:])
-			// lastMod tracks the end of the most recent trial's ripple — the
+			pt.begin(pos)
+			// lastMod is the end of the most recent trial's ripple — the
 			// dirty region the suffix memo must not be consulted inside.
 			lastMod := pos
 			eval := func(e float64) float64 {
-				copy(s.End[pos:], saved[pos:])
-				s.End[pos] = e
-				lastMod = pos
-				prev := e
-				for q := pos + 1; q < n; q++ {
-					if s.WCWork[q] <= deadWork {
-						continue
-					}
-					loQ := math.Max(prev, plan.Subs[q].Release) + s.WCWork[q]*tcMax
-					if s.End[q] < loQ {
-						if loQ > plan.Subs[q].Deadline+1e-9 {
-							return math.Inf(1) // ripple crosses a deadline
-						}
-						s.End[q] = loQ
-						lastMod = q
-					}
-					prev = s.End[q]
+				var ok bool
+				if lastMod, ok = pt.trial(e); !ok {
+					return math.Inf(1) // ripple crosses a deadline
 				}
 				return ev.energyFrom(pos, lastMod+1)
 			}
-			base := eval(saved[pos])
+			base := eval(pt.saved[pos])
 			best, bestF := opt.GoldenMin(eval, lo, hi, c.LineTolMs, 200)
-			if bestF < base-1e-15 && !math.IsInf(bestF, 1) {
-				if math.IsInf(eval(best), 1) { // re-apply; defensive
-					copy(s.End[pos:], saved[pos:])
-				} else {
-					// The accepted move rippled ends through lastMod: refresh
-					// the memo over the whole dirty region so later positions
-					// in this sweep exit into consistent entries.
-					ev.resnap(pos, lastMod+1)
-				}
+			if bestF < base-1e-15 && !math.IsInf(bestF, 1) && !math.IsInf(eval(best), 1) {
+				// The accepted move rippled ends through lastMod: refresh
+				// the memo over the whole dirty region so later positions
+				// in this sweep exit into consistent entries.
+				ev.resnap(pos, lastMod+1)
 			} else {
-				copy(s.End[pos:], saved[pos:])
+				pt.restore()
 			}
 		}
 		ev.advance(pos)
 		ev.invalidate(pos)
 		prevAlive = s.End[pos]
 	}
+}
+
+// pushTrial applies sweepPush's trial moves at one position in O(ripple)
+// rather than O(n): each trial first undoes only the range the previous one
+// wrote, and the ripple stops at the first work-bearing piece it leaves in
+// place once no committed chain violation lies beyond it. From such a piece
+// on, the ripple would re-run the committed chain from a committed end, and
+// a chain-feasible committed suffix moves nothing — so a trial writes
+// exactly the ends, and reports exactly the outcome, of the full ripple.
+type pushTrial struct {
+	s     *Schedule
+	tcMax float64
+	saved []float64 // committed ends over [pos, n)
+	pos   int
+	// settled is the last work-bearing position after pos whose committed
+	// end violates the chain from its committed predecessor (pos when none):
+	// the ripple may stop at an unmoved piece at or past it.
+	settled int
+	dirty   int // last position the previous trial wrote
+}
+
+// begin snapshots the committed ends from pos on and locates the committed
+// chain's last violation: once per position, shared by all its trials.
+func (p *pushTrial) begin(pos int) {
+	s := p.s
+	copy(p.saved[pos:], s.End[pos:])
+	p.pos, p.dirty, p.settled = pos, pos, pos
+	prev := s.End[pos]
+	for q := pos + 1; q < len(s.End); q++ {
+		if s.WCWork[q] <= deadWork {
+			continue
+		}
+		if s.End[q] < math.Max(prev, s.Plan.Subs[q].Release)+s.WCWork[q]*p.tcMax {
+			p.settled = q
+		}
+		prev = s.End[q]
+	}
+}
+
+// trial installs End[pos] = e and the forward ripple it forces, returning
+// the last position it moved; ok is false when the ripple would push an end
+// past its deadline (the ends written up to that point stay installed until
+// the next trial or restore).
+func (p *pushTrial) trial(e float64) (lastMod int, ok bool) {
+	p.restore()
+	s := p.s
+	s.End[p.pos] = e
+	lastMod = p.pos
+	prev := e
+	for q := p.pos + 1; q < len(s.End); q++ {
+		if s.WCWork[q] <= deadWork {
+			continue
+		}
+		su := &s.Plan.Subs[q]
+		loQ := math.Max(prev, su.Release) + s.WCWork[q]*p.tcMax
+		if s.End[q] < loQ {
+			if loQ > su.Deadline+1e-9 {
+				p.dirty = lastMod
+				return lastMod, false
+			}
+			s.End[q] = loQ
+			lastMod = q
+		} else if q >= p.settled {
+			break
+		}
+		prev = s.End[q]
+	}
+	p.dirty = lastMod
+	return lastMod, true
+}
+
+// restore reinstalls the committed ends over the last trial's dirty range.
+func (p *pushTrial) restore() {
+	copy(p.s.End[p.pos:p.dirty+1], p.saved[p.pos:p.dirty+1])
+	p.dirty = p.pos
 }
 
 // deriveAvgWorkInstance recomputes the average workloads of one instance.

@@ -16,8 +16,8 @@ type workspace struct {
 	eMax      []float64 // ALAP scratch (initialize)
 	prevAlive []float64 // forward chain scratch, length n+1 (sweepEnds)
 	nextCap   []float64 // backward chain scratch, length n+1 (sweepEnds)
-	saved     []float64 // end-time save buffer (sweepPush)
 	pairs     []splitPair
+	push      pushTrial // sweepPush's trial state
 	ev        objEval
 }
 
@@ -51,8 +51,8 @@ func newWorkspace(plan *preempt.Schedule) *workspace {
 		eMax:      make([]float64, n),
 		prevAlive: make([]float64, n+1),
 		nextCap:   make([]float64, n+1),
-		saved:     make([]float64, n),
 	}
+	ws.push.saved = make([]float64, n)
 	// The transfer pairs depend only on the plan, not on the solution state:
 	// build them once, sorted by earlier position so the evaluator's prefix
 	// caches advance monotonically during a split sweep. Positions are unique

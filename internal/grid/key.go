@@ -157,10 +157,15 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // core.Config.Canonical first, so a zero config and an explicitly-defaulted
 // one share a key. ok is false when the config cannot be canonically encoded
 // (an unknown model implementation); callers then bypass the memo.
+//
+// The domain tag versions the solver itself: a change that alters solver
+// output for the same inputs, even by an ulp, bumps it, so a persisted
+// store written by an older solver never answers for the current one.
+// v2: full-budget pieces finish exactly at their static end.
 func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	c := cfg.Canonical()
 	h := newHasher()
-	h.str("schedule/v1")
+	h.str("schedule/v2")
 	h.taskSet(set)
 	if !h.model(c.Model) {
 		return Key{}, false

@@ -127,6 +127,21 @@ func TestSubmitWCSObjective(t *testing.T) {
 	}
 }
 
+// TestSubmitDeadReservationBody: a set whose WCS solution leaves a piece
+// with a sub-DeadWork budget past its deadline (the body pinned by
+// core's TestDeadReservationBodySolves) is served, not refused with a 422.
+func TestSubmitDeadReservationBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"tasks":[` +
+		`{"name":"T1","period_ms":10,"wcec":13.378184111943947,"acec":7.3580012615691714,"bcec":1.3378184111943947,"ceff":1},` +
+		`{"name":"T2","period_ms":10,"wcec":3.6378610742178514,"acec":2.0008235908198184,"bcec":0.36378610742178513,"ceff":1},` +
+		`{"name":"T4","period_ms":25,"wcec":8.651539752536115,"acec":4.758346863894864,"bcec":0.8651539752536115,"ceff":1},` +
+		`{"name":"T3","period_ms":200,"wcec":150.46677825647498,"acec":82.75672804106124,"bcec":15.0466778256475,"ceff":1}]}`
+	if code, got := post(t, ts.URL+"/v1/schedules", body); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, got)
+	}
+}
+
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxTasks: 2})
 	cases := []struct {
