@@ -198,3 +198,115 @@ func TestPushTrialMatchesFullRipple(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitDirtyEndExact: the dirty region sweepSplits gives a transfer
+// probe is exact. Every End, WCWork and load at or past refillSplit's bound
+// equals the committed value, and energyFrom exiting into the suffix memo
+// there matches the from-scratch recursion within 1e-12 relative — for WCS,
+// the point ACS objective, 3-scenario ACS and the Alpha model, over
+// transfers δ anywhere in [−wa, wb] (the non-negativity bounds, which
+// contain the sweep's [dLo, dHi]), including the endpoints that kill a
+// piece and transfers that revive one. Pairs are visited in the sweep's
+// ascending order and some probes are committed behind a resnap at the same
+// bound, so later probes exit into entries that resnap wrote. A split sweep
+// leaves AvgWork exactly deriveAvgWork(WCWork), although WCS probes never
+// re-derive it.
+func TestSplitDirtyEndExact(t *testing.T) {
+	rng := stats.NewRNG(73)
+	moved := 0
+	for trial := 0; trial < 16; trial++ {
+		s, sc := memoFixture(t, rng, trial)
+		loadSets := 1
+		if sc != nil {
+			loadSets = len(sc.loads)
+		}
+		ws := newWorkspace(s.Plan, loadSets)
+		if len(ws.pairs) == 0 {
+			continue
+		}
+		ev := &ws.ev
+		n := len(s.Plan.Subs)
+		end, wc := make([]float64, n), make([]float64, n)
+		committed := make([][]float64, loadSets)
+		for i := range committed {
+			committed[i] = make([]float64, n)
+		}
+		for probe := 0; probe < 400; probe++ {
+			k := probe % len(ws.pairs)
+			if k == 0 {
+				ev.reset(s, sc) // a new sweep
+			}
+			p := ws.pairs[k]
+			copy(end, s.End)
+			copy(wc, s.WCWork)
+			for i, loads := range ev.loadSets {
+				copy(committed[i], loads)
+			}
+			s.beginSplit(sc, ws, p)
+			wa, wb := s.WCWork[p.pa], s.WCWork[p.pb]
+			d := -wa + (wa+wb)*rng.Float64()
+			switch rng.Intn(4) {
+			case 0:
+				d = -wa
+			case 1:
+				d = wb
+			}
+			s.WCWork[p.pa], s.WCWork[p.pb] = wa+d, wb-d
+			for _, q := range []int{p.pa, p.pb} {
+				if wc[q] <= deadWork && s.WCWork[q] > deadWork {
+					s.End[q] = s.Plan.Subs[q].Deadline - rng.Float64()
+				}
+			}
+			bound := s.refillSplit(ws, p)
+			for q := bound; q < n; q++ {
+				if s.End[q] != end[q] || s.WCWork[q] != wc[q] {
+					t.Fatalf("trial %d probe %d: pair (%d, %d) moved End/WCWork at %d, past its bound %d",
+						trial, probe, p.pa, p.pb, q, bound)
+				}
+				for i, loads := range ev.loadSets {
+					if loads[q] != committed[i][q] {
+						t.Fatalf("trial %d probe %d: pair (%d, %d) moved load set %d at %d, past its bound %d",
+							trial, probe, p.pa, p.pb, i, q, bound)
+					}
+				}
+			}
+			got := ev.energyFrom(p.pa, bound)
+			want := ev.full()
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("trial %d probe %d: energyFrom(%d, %d) = %.17g, from scratch %.17g",
+					trial, probe, p.pa, bound, got, want)
+			}
+			if rng.Intn(4) == 0 {
+				deriveAvgWorkInstance(s.Plan, s.WCWork, s.AvgWork, p.idx)
+				ev.rebuild(p.pa)
+				ev.resnap(p.pa, bound)
+				continue
+			}
+			copy(s.End, end)
+			copy(s.WCWork, wc)
+			for i, loads := range ev.loadSets {
+				copy(loads, committed[i])
+			}
+		}
+
+		copy(wc, s.WCWork)
+		s.sweepSplits(sc, ws)
+		for q := range wc {
+			if s.WCWork[q] != wc[q] {
+				moved++
+				break
+			}
+		}
+		avg := make([]float64, n)
+		deriveAvgWork(s.Plan, s.WCWork, avg)
+		for q := range avg {
+			if math.Float64bits(s.AvgWork[q]) != math.Float64bits(avg[q]) {
+				t.Fatalf("trial %d (%v): after a split sweep AvgWork[%d] = %.17g, derived %.17g",
+					trial, s.Objective, q, s.AvgWork[q], avg[q])
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no split sweep committed a transfer: the AvgWork check never ran on a moved split")
+	}
+}

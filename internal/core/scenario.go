@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/preempt"
 	"repro/internal/stats"
@@ -64,7 +63,7 @@ func (sc *scenarioSet) rederiveAll(s *Schedule) {
 func (sc *scenarioSet) rederiveInstance(s *Schedule, k, idx int) {
 	remaining := sc.cycles[k][idx]
 	for _, pos := range s.Plan.ByInstance[idx] {
-		w := math.Min(remaining, s.WCWork[pos])
+		w := min(remaining, s.WCWork[pos])
 		sc.loads[k][pos] = w
 		remaining -= w
 	}

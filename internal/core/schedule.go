@@ -113,7 +113,7 @@ func deriveAvgWork(plan *preempt.Schedule, wc, avg []float64) {
 	for idx, positions := range plan.ByInstance {
 		remaining := plan.Set.Tasks[plan.Instances[idx].TaskIndex].ACEC
 		for _, pos := range positions {
-			w := math.Min(remaining, wc[pos])
+			w := min(remaining, wc[pos])
 			avg[pos] = w
 			remaining -= w
 		}
@@ -208,7 +208,7 @@ func (s *Schedule) EnergyUnder(actual []float64) (energy, worstOvershoot float64
 	var st evalState
 	for pos := range s.Plan.Subs {
 		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
+		w := min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
 		if w <= 0 || s.WCWork[pos] <= deadWork {
 			// Empty piece or empty reservation (evalStep runs neither, and
@@ -264,7 +264,7 @@ func (s *Schedule) Verify(tol float64) error {
 		if s.End[pos] > su.Deadline+tol {
 			return fmt.Errorf("core: sub %d end %g violates deadline %g", pos, s.End[pos], su.Deadline)
 		}
-		start := math.Max(prevEnd, su.Release)
+		start := max(prevEnd, su.Release)
 		if need := s.WCWork[pos] * tcMax; s.End[pos]-start < need-tol {
 			return fmt.Errorf("core: sub %d worst-case chain violated: window %g < %g at Vmax",
 				pos, s.End[pos]-start, need)
@@ -309,10 +309,10 @@ func (s *Schedule) RuntimeVoltages(actual []float64) ([]float64, error) {
 	var st evalState
 	for pos := range s.Plan.Subs {
 		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
+		w := min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
 		if s.WCWork[pos] > 0 && w > 0 {
-			a := math.Max(st.t, su.Release)
+			a := max(st.t, su.Release)
 			v, _ := power.VoltageForWindow(s.Model, s.WCWork[pos], s.End[pos]-a)
 			volts[pos] = v
 		}
@@ -333,7 +333,7 @@ func (s *Schedule) TaskEnergyShare(actual []float64) ([]float64, error) {
 	var st evalState
 	for pos := range s.Plan.Subs {
 		su := &s.Plan.Subs[pos]
-		w := math.Min(remaining[su.InstanceIndex], s.WCWork[pos])
+		w := min(remaining[su.InstanceIndex], s.WCWork[pos])
 		remaining[su.InstanceIndex] -= w
 		before := st.energy
 		s.evalStep(&st, pos, w)

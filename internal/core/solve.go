@@ -157,7 +157,11 @@ func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
 	if n == 0 {
 		return nil, 0, fmt.Errorf("core: plan has no sub-instances")
 	}
-	ws := newWorkspace(plan)
+	loadSets := 1
+	if c.Scenarios > 0 && c.Objective == AverageCase {
+		loadSets = c.Scenarios
+	}
+	ws := newWorkspace(plan, loadSets)
 	s := &Schedule{
 		Plan:      plan,
 		Model:     c.Model,
@@ -193,14 +197,14 @@ func solveSingle(plan *preempt.Schedule, c Config) (*Schedule, float64, error) {
 			return nil, 0, altErr
 		}
 		alt.Energy = alt.ObjectiveEnergy()
-		if altObj < obj && alt.Verify(1e-6*math.Max(1, plan.Hyperperiod)) == nil {
+		if altObj < obj && alt.Verify(1e-6*max(1, plan.Hyperperiod)) == nil {
 			alt.Sweeps += s.Sweeps
 			s = alt
 			obj = altObj
 		}
 	}
 
-	if err := s.Verify(1e-6 * math.Max(1, plan.Hyperperiod)); err != nil {
+	if err := s.Verify(1e-6 * max(1, plan.Hyperperiod)); err != nil {
 		return nil, 0, fmt.Errorf("core: solver produced an invalid schedule: %w", err)
 	}
 	return s, obj, nil
@@ -324,7 +328,7 @@ func (s *Schedule) initialize(c Config, ws *workspace) error {
 			return fmt.Errorf("core: infeasible at sub %d: ASAP end %g exceeds ALAP end %g",
 				pos, eMin[pos], eMax[pos])
 		}
-		s.End[pos] = eMin[pos] + c.InitBlend*(math.Max(eMax[pos], eMin[pos])-eMin[pos])
+		s.End[pos] = eMin[pos] + c.InitBlend*(max(eMax[pos], eMin[pos])-eMin[pos])
 	}
 	// The blended ends satisfy deadlines but may violate the forward chain
 	// (each pos's blend is independent); one forward repair pass restores
@@ -334,10 +338,10 @@ func (s *Schedule) initialize(c Config, ws *workspace) error {
 	tcMax := s.Model.CycleTime(s.Model.VMax())
 	for pos := range s.End {
 		if s.WCWork[pos] <= deadWork {
-			s.End[pos] = math.Max(prev, plan.Subs[pos].Release)
+			s.End[pos] = max(prev, plan.Subs[pos].Release)
 			continue
 		}
-		lo := math.Max(prev, plan.Subs[pos].Release) + s.WCWork[pos]*tcMax
+		lo := max(prev, plan.Subs[pos].Release) + s.WCWork[pos]*tcMax
 		if s.End[pos] < lo {
 			s.End[pos] = lo
 		}
@@ -359,10 +363,10 @@ func (s *Schedule) asapEnds(dst []float64) ([]float64, error) {
 	t := 0.0
 	for pos, su := range s.Plan.Subs {
 		if s.WCWork[pos] <= deadWork {
-			ends[pos] = math.Max(t, su.Release)
+			ends[pos] = max(t, su.Release)
 			continue
 		}
-		start := math.Max(t, su.Release)
+		start := max(t, su.Release)
 		t = start + s.WCWork[pos]*tcMax
 		if t > su.Deadline+1e-9 {
 			return nil, fmt.Errorf("core: task set unschedulable at Vmax: %s misses deadline %g (needs %g)",
@@ -388,14 +392,14 @@ func (s *Schedule) alapEnds(dst []float64) []float64 {
 	for pos := n - 1; pos >= 0; pos-- {
 		su := s.Plan.Subs[pos]
 		if s.WCWork[pos] <= deadWork {
-			ends[pos] = math.Min(capNext, su.Deadline) // cosmetic only
+			ends[pos] = min(capNext, su.Deadline) // cosmetic only
 			continue
 		}
-		hi := math.Min(su.Deadline, capNext)
+		hi := min(su.Deadline, capNext)
 		ends[pos] = hi
 		// A predecessor may end later than (hi − exec) only when it ends at
 		// or before this piece's release (then this piece is release-bound).
-		capNext = math.Max(su.Release, hi-s.WCWork[pos]*tcMax)
+		capNext = max(su.Release, hi-s.WCWork[pos]*tcMax)
 	}
 	return ends
 }
@@ -427,12 +431,12 @@ func (s *Schedule) optimize(c Config, ws *workspace) (float64, error) {
 		// backward pass does.
 		s.sweepEnds(c, sc, ws, sweep%2 == 1)
 		if c.OptimizeSplits {
-			s.sweepSplits(c, sc, ws)
+			s.sweepSplits(sc, ws)
 		}
 		s.sweepPush(c, sc, ws)
 		obj = ws.ev.full()
 		s.Sweeps = sweep + 1
-		if prevObj-obj <= c.Tol*math.Max(prevObj, 1e-12) && sweep >= 2 {
+		if prevObj-obj <= c.Tol*max(prevObj, 1e-12) && sweep >= 2 {
 			break
 		}
 		prevObj = obj
@@ -473,7 +477,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 	nextCap[n] = math.Inf(1)
 	for pos := n - 1; pos >= 0; pos-- {
 		if s.WCWork[pos] > deadWork {
-			nextCap[pos] = math.Max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
+			nextCap[pos] = max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
 		} else {
 			nextCap[pos] = nextCap[pos+1]
 		}
@@ -489,7 +493,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			// Dead piece: keep a consistent bookkeeping end on the chain.
 			// Its end never enters the objective (evalStep skips pieces at
 			// or below deadWork), so no memo invalidation is needed.
-			s.End[pos] = math.Max(prevAlive[pos], su.Release)
+			s.End[pos] = max(prevAlive[pos], su.Release)
 			if !backward {
 				prevAlive[pos+1] = prevAlive[pos]
 				ev.copyPrefix(pos)
@@ -498,8 +502,8 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			}
 			continue
 		}
-		lo := math.Max(prevAlive[pos], su.Release) + s.WCWork[pos]*tcMax
-		hi := math.Min(su.Deadline, nextCap[pos+1])
+		lo := max(prevAlive[pos], su.Release) + s.WCWork[pos]*tcMax
+		hi := min(su.Deadline, nextCap[pos+1])
 		if hi > lo+c.LineTolMs {
 			orig := s.End[pos]
 			eval := func(e float64) float64 {
@@ -526,7 +530,7 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 			ev.invalidate(pos)
 			prevAlive[pos+1] = s.End[pos]
 		} else {
-			nextCap[pos] = math.Max(su.Release, s.End[pos]-s.WCWork[pos]*tcMax)
+			nextCap[pos] = max(su.Release, s.End[pos]-s.WCWork[pos]*tcMax)
 			// Refresh the memo behind the commit: the next (earlier)
 			// position's line search exits into entries at [pos, n].
 			ev.resnap(pos, pos+1)
@@ -537,15 +541,16 @@ func (s *Schedule) sweepEnds(c Config, sc *scenarioSet, ws *workspace, backward 
 // sweepSplits optimises the worst-case workload split between each adjacent
 // pair of pieces of every multi-piece instance: a scalar transfer δ moves
 // work from the later piece to the earlier one within the bounds set by
-// non-negativity and each position's worst-case chain slack. Average
-// workloads are re-derived after every accepted move, so the objective sees
-// the case-1/case-2 redistribution immediately. Pairs are visited in total
-// order of their earlier position (precomputed in the workspace) so a prefix
-// cache of the recursion can be advanced monotonically; a pair's evaluation
+// non-negativity and each position's worst-case chain slack. The loads the
+// objective reads are re-derived with every probe, so it sees the
+// case-1/case-2 redistribution immediately; AvgWork, when the objective does
+// not read it, is re-derived once per committed transfer. Pairs are visited
+// in total order of their earlier position (precomputed in the workspace) so
+// a prefix cache of the recursion can be advanced monotonically; a probe
 // then only re-runs the order suffix starting at that position, up to where
-// it re-converges onto the committed recursion past the instance's last
-// position.
-func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
+// it re-converges onto the committed recursion past the probe's dirty region
+// (see refillSplit).
+func (s *Schedule) sweepSplits(sc *scenarioSet, ws *workspace) {
 	plan := s.Plan
 	tcMax := s.Model.CycleTime(s.Model.VMax())
 	ev := &ws.ev
@@ -553,23 +558,28 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 
 	// caps[pos] is the latest end the alive pieces at [pos, n) allow their
 	// predecessor — the nextCap recursion of sweepEnds evaluated on the live
-	// state. It bounds where a revived piece may place its end; recomputed
-	// behind every accepted transfer (budgets move, and a revival moves an
-	// end). The array is borrowed from the workspace — sweepEnds rebuilds it
-	// on entry.
+	// state. It bounds where a revived piece may place its end. The array is
+	// borrowed from the workspace — sweepEnds rebuilds it on entry.
 	n := len(plan.Subs)
 	caps := ws.nextCap
-	recap := func() {
-		caps[n] = math.Inf(1)
-		for pos := n - 1; pos >= 0; pos-- {
-			if s.WCWork[pos] > deadWork {
-				caps[pos] = math.Max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
-			} else {
+	caps[n] = math.Inf(1)
+	// recap recomputes caps from hi down to the first alive piece below lo.
+	// An alive piece's cap reads only its own (End, WCWork) and a dead
+	// piece's reads its successor's, so a transfer that changed pieces lo
+	// and hi moves no cap above hi or at and below that alive piece.
+	recap := func(hi, lo int) {
+		for pos := hi; pos >= 0; pos-- {
+			if s.WCWork[pos] <= deadWork {
 				caps[pos] = caps[pos+1]
+				continue
+			}
+			caps[pos] = max(plan.Subs[pos].Release, s.End[pos]-s.WCWork[pos]*tcMax)
+			if pos < lo {
+				break
 			}
 		}
 	}
-	recap()
+	recap(n-1, 0)
 
 	// limitFor is the latest time piece pos may end: its static end capped
 	// by its deadline while alive. A dead piece's bookkeeping end is
@@ -579,9 +589,9 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 	// its end.
 	limitFor := func(pos int) float64 {
 		if s.WCWork[pos] <= deadWork {
-			return math.Min(plan.Subs[pos].Deadline, caps[pos+1])
+			return min(plan.Subs[pos].Deadline, caps[pos+1])
 		}
-		return math.Min(s.End[pos], plan.Subs[pos].Deadline)
+		return min(s.End[pos], plan.Subs[pos].Deadline)
 	}
 
 	// chainSlack is how many extra worst-case cycles piece pos could absorb
@@ -595,7 +605,7 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 				break
 			}
 		}
-		window := limitFor(pos) - math.Max(prevEnd, plan.Subs[pos].Release)
+		window := limitFor(pos) - max(prevEnd, plan.Subs[pos].Release)
 		return window/tcMax - s.WCWork[pos]
 	}
 
@@ -607,37 +617,25 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 			ev.advance(front)
 		}
 	}
-	rederive := func(idx int) {
-		deriveAvgWorkInstance(plan, s.WCWork, s.AvgWork, idx)
-		if sc != nil {
-			for k := range sc.loads {
-				sc.rederiveInstance(s, k, idx)
-			}
-		}
-	}
-
 	for _, p := range ws.pairs {
 		advance(p.pa)
 		// δ > 0 moves workload from the later piece pb to pa.
-		dLo := math.Max(-s.WCWork[p.pa], -chainSlack(p.pb))
-		dHi := math.Min(s.WCWork[p.pb], chainSlack(p.pa))
+		dLo := max(-s.WCWork[p.pa], -chainSlack(p.pb))
+		dHi := min(s.WCWork[p.pb], chainSlack(p.pa))
 		if dHi-dLo < 1e-9 {
 			continue
 		}
-		// A trial transfer re-derives loads across the whole instance, so
-		// the dirty region of every evaluation ends after the instance's
-		// last position.
-		positions := plan.ByInstance[p.idx]
-		stable := positions[len(positions)-1] + 1
+		s.beginSplit(sc, ws, p)
 		wa, wb := s.WCWork[p.pa], s.WCWork[p.pb]
 		ea, eb := s.End[p.pa], s.End[p.pb]
 		limA, limB := limitFor(p.pa), limitFor(p.pb)
-		// apply installs the trial state for transfer d. A transfer that
-		// revives a dead piece re-places its end at the window limit the
-		// slack bound was computed against — the stale bookkeeping end may
-		// sit past the deadline and must be neither kept (it would violate
-		// constraint (7)) nor credited with energy by the evaluation below.
-		apply := func(d float64) {
+		// apply installs the trial state for transfer d and returns where
+		// its dirty region ends. A transfer that revives a dead piece
+		// re-places its end at the window limit the slack bound was computed
+		// against — the stale bookkeeping end may sit past the deadline and
+		// must be neither kept (it would violate constraint (7)) nor
+		// credited with energy by the evaluation below.
+		apply := func(d float64) int {
 			s.WCWork[p.pa] = wa + d
 			s.WCWork[p.pb] = wb - d
 			s.End[p.pa] = ea
@@ -648,27 +646,82 @@ func (s *Schedule) sweepSplits(c Config, sc *scenarioSet, ws *workspace) {
 			if wb <= deadWork && s.WCWork[p.pb] > deadWork {
 				s.End[p.pb] = limB
 			}
-			rederive(p.idx)
+			return s.refillSplit(ws, p)
 		}
 		eval := func(d float64) float64 {
-			apply(d)
-			return ev.energyFrom(p.pa, stable)
+			return ev.energyFrom(p.pa, apply(d))
 		}
 		base := eval(0)
 		best, bestF := opt.GoldenMin(eval, dLo, dHi, 1e-6*(dHi-dLo)+1e-12, 200)
-		changed := bestF < base-1e-15
-		if changed {
-			apply(best)
+		if bestF < base-1e-15 {
+			stable := apply(best)
+			deriveAvgWorkInstance(plan, s.WCWork, s.AvgWork, p.idx)
 			// Refresh the memo behind the committed transfer so later pairs
-			// (whose dirty regions may end before this instance's last
-			// position) can still exit into consistent entries, and refresh
-			// the chain caps — budgets moved, and a revival moved an end.
+			// can exit into consistent entries, and the chain caps the
+			// transfer moved.
 			ev.resnap(p.pa, stable)
-			recap()
+			recap(p.pb, p.pa)
 		} else {
 			apply(0)
 		}
 	}
+}
+
+// beginSplit prepares the probes of transfer pair p. It copies the
+// instance's committed loads from pa on, in every load set the objective
+// reads, into ws.pairLoads, and records in ws.pairRem how much of each
+// set's workload is still to place when the greedy fill reaches pa: a
+// transfer leaves the pieces before pa as they are. The WCS objective reads
+// WCWork itself and needs neither.
+func (s *Schedule) beginSplit(sc *scenarioSet, ws *workspace, p splitPair) {
+	if s.Objective == WorstCase {
+		return
+	}
+	plan := s.Plan
+	for i, loads := range ws.ev.loadSets {
+		rem := plan.Set.Tasks[plan.Instances[p.idx].TaskIndex].ACEC
+		if sc != nil {
+			rem = sc.cycles[i][p.idx]
+		}
+		row := ws.pairLoads[i*ws.maxInst:]
+		for k, pos := range plan.ByInstance[p.idx] {
+			if k < p.k {
+				rem -= loads[pos] // the fill's own steps, so rem is exact
+			} else {
+				row[k] = loads[pos]
+			}
+		}
+		ws.pairRem[i] = rem
+	}
+}
+
+// refillSplit re-derives, after a transfer between pair p's pieces, the
+// loads the objective reads from pa on, and returns one past the last
+// position the transfer changed: the stable bound of energyFrom and resnap.
+// WCWork and (on revival) End change only at pa and pb, and loads only at
+// the instance's positions. WCS loads are WCWork, so pb+1 is exact.
+// Otherwise the greedy fill moves loads up to the piece where the workload
+// runs out, found by comparing each refilled load with the copy beginSplit
+// took.
+func (s *Schedule) refillSplit(ws *workspace, p splitPair) int {
+	stable := p.pb + 1
+	if s.Objective == WorstCase {
+		return stable
+	}
+	positions := s.Plan.ByInstance[p.idx]
+	for i, loads := range ws.ev.loadSets {
+		rem, row := ws.pairRem[i], ws.pairLoads[i*ws.maxInst:]
+		for k := p.k; k < len(positions); k++ {
+			pos := positions[k]
+			w := min(rem, s.WCWork[pos])
+			if w != row[k] && pos >= stable {
+				stable = pos + 1
+			}
+			loads[pos] = w
+			rem -= w
+		}
+	}
+	return stable
 }
 
 // sweepPush is the joint-move companion to sweepEnds. Plain coordinate
@@ -691,11 +744,11 @@ func (s *Schedule) sweepPush(c Config, sc *scenarioSet, ws *workspace) {
 	for pos := 0; pos < n; pos++ {
 		su := &plan.Subs[pos]
 		if s.WCWork[pos] <= deadWork {
-			s.End[pos] = math.Max(prevAlive, su.Release)
+			s.End[pos] = max(prevAlive, su.Release)
 			ev.copyPrefix(pos)
 			continue
 		}
-		lo := math.Max(prevAlive, su.Release) + s.WCWork[pos]*tcMax
+		lo := max(prevAlive, su.Release) + s.WCWork[pos]*tcMax
 		hi := su.Deadline
 		if hi > lo+c.LineTolMs {
 			pt.begin(pos)
@@ -756,7 +809,7 @@ func (p *pushTrial) begin(pos int) {
 		if s.WCWork[q] <= deadWork {
 			continue
 		}
-		if s.End[q] < math.Max(prev, s.Plan.Subs[q].Release)+s.WCWork[q]*p.tcMax {
+		if s.End[q] < max(prev, s.Plan.Subs[q].Release)+s.WCWork[q]*p.tcMax {
 			p.settled = q
 		}
 		prev = s.End[q]
@@ -778,7 +831,7 @@ func (p *pushTrial) trial(e float64) (lastMod int, ok bool) {
 			continue
 		}
 		su := &s.Plan.Subs[q]
-		loQ := math.Max(prev, su.Release) + s.WCWork[q]*p.tcMax
+		loQ := max(prev, su.Release) + s.WCWork[q]*p.tcMax
 		if s.End[q] < loQ {
 			if loQ > su.Deadline+1e-9 {
 				p.dirty = lastMod
@@ -805,7 +858,7 @@ func (p *pushTrial) restore() {
 func deriveAvgWorkInstance(plan *preempt.Schedule, wc, avg []float64, idx int) {
 	remaining := plan.Set.Tasks[plan.Instances[idx].TaskIndex].ACEC
 	for _, pos := range plan.ByInstance[idx] {
-		w := math.Min(remaining, wc[pos])
+		w := min(remaining, wc[pos])
 		avg[pos] = w
 		remaining -= w
 	}

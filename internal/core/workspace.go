@@ -17,6 +17,13 @@ type workspace struct {
 	prevAlive []float64 // forward chain scratch, length n+1 (sweepEnds)
 	nextCap   []float64 // backward chain scratch, length n+1 (sweepEnds)
 	pairs     []splitPair
+	// For the pair sweepSplits is probing (see beginSplit): pairLoads holds
+	// a copy of the instance's committed loads in every load set the
+	// objective reads, row i (stride maxInst) mirroring load set i over the
+	// instance's positions, and pairRem each set's workload left at pa.
+	pairLoads []float64
+	pairRem   []float64
+	maxInst   int       // longest instance, in pieces
 	push      pushTrial // sweepPush's trial state
 	ev        objEval
 }
@@ -41,25 +48,36 @@ func (e *objEval) fillEvalArrays(plan *preempt.Schedule) {
 }
 
 // splitPair is one workload-transfer coordinate of sweepSplits: adjacent
-// pieces (pa, pb) of instance idx.
-type splitPair struct{ pa, pb, idx int }
+// pieces pa = ByInstance[idx][k] and pb = ByInstance[idx][k+1].
+type splitPair struct{ pa, pb, idx, k int }
 
-func newWorkspace(plan *preempt.Schedule) *workspace {
+// newWorkspace sizes a workspace for plan and an objective that reads
+// loadSets load vectors (the scenario count, or 1 for a point objective).
+// The float scratch shares one backing array: a solve's allocation count is
+// gated, and every buffer lives exactly as long as the workspace.
+func newWorkspace(plan *preempt.Schedule, loadSets int) *workspace {
 	n := len(plan.Subs)
-	ws := &workspace{
-		eMin:      make([]float64, n),
-		eMax:      make([]float64, n),
-		prevAlive: make([]float64, n+1),
-		nextCap:   make([]float64, n+1),
+	ws := &workspace{}
+	for _, positions := range plan.ByInstance {
+		ws.maxInst = max(ws.maxInst, len(positions))
 	}
-	ws.push.saved = make([]float64, n)
+	buf := make([]float64, 5*n+2+(ws.maxInst+1)*loadSets)
+	carve := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	ws.eMin, ws.eMax, ws.push.saved = carve(n), carve(n), carve(n)
+	ws.prevAlive, ws.nextCap = carve(n+1), carve(n+1)
+	ws.pairRem = carve(loadSets)
+	ws.pairLoads = carve(len(buf))
 	// The transfer pairs depend only on the plan, not on the solution state:
 	// build them once, sorted by earlier position so the evaluator's prefix
 	// caches advance monotonically during a split sweep. Positions are unique
 	// across instances, so the sort order is total and deterministic.
 	for idx, positions := range plan.ByInstance {
 		for k := 0; k+1 < len(positions); k++ {
-			ws.pairs = append(ws.pairs, splitPair{positions[k], positions[k+1], idx})
+			ws.pairs = append(ws.pairs, splitPair{positions[k], positions[k+1], idx, k})
 		}
 	}
 	slices.SortFunc(ws.pairs, func(a, b splitPair) int { return a.pa - b.pa })

@@ -162,10 +162,12 @@ func (h *hasher) schedule(s *core.Schedule) bool {
 // output for the same inputs, even by an ulp, bumps it, so a persisted
 // store written by an older solver never answers for the current one.
 // v2: full-budget pieces finish exactly at their static end.
+// v3: split-transfer probes exit into the suffix memo past their true dirty
+// region (ulp-level energy sums, which move some search trajectories).
 func ScheduleKey(set *task.Set, cfg core.Config) (Key, bool) {
 	c := cfg.Canonical()
 	h := newHasher()
-	h.str("schedule/v2")
+	h.str("schedule/v3")
 	h.taskSet(set)
 	if !h.model(c.Model) {
 		return Key{}, false

@@ -605,6 +605,15 @@ func (s *Server) canonicalize(req *SubmitRequest) (*canonicalRequest, *apiError)
 // the same admission role MaxTasks does for set size.
 const maxCores = 16
 
+// maxJobs bounds the jobs a body releases per hyper-period, Σ H/Tᵢ. The
+// preemptive expansion and the admission feasibility check grow faster than
+// linearly in it and take no context: measured on a 2-core Xeon, 4,001 jobs
+// expand in 34 ms and check in 77 ms, 8,001 jobs in 131 and 304 ms, and
+// GAPExact's 31,264 jobs take 2.1 s to expand alone. At this bound
+// admission stays near a tenth of a second, with 3× headroom over the
+// largest set drawn from §4's period pool (64 tasks of 20 jobs each).
+const maxJobs = 4096
+
 // canonicalizeSubmit is canonicalization as a pure function of the body and
 // the server defaults it is resolved against — factored out so the fleet
 // router computes the same fingerprint the peers do without holding a
@@ -623,6 +632,10 @@ func canonicalizeSubmit(req *SubmitRequest, defaultStarts, maxTasks int) (*canon
 	set, err := task.NewSet(req.Tasks)
 	if err != nil {
 		return nil, errorf(http.StatusUnprocessableEntity, "admission: %v", err)
+	}
+	if h, jobs := jobsPerHyperperiod(set, maxJobs); jobs > maxJobs {
+		return nil, errorf(http.StatusUnprocessableEntity,
+			"admission: the set releases more than %d jobs per %d ms hyper-period", maxJobs, h)
 	}
 	cr := &canonicalRequest{set: set, starts: req.Starts, subCap: req.SubCap, cores: req.Cores}
 	if cr.starts <= 0 {
@@ -645,6 +658,20 @@ func canonicalizeSubmit(req *SubmitRequest, defaultStarts, maxTasks int) (*canon
 			"admission: unknown objective %q (want acs or wcs)", req.Objective)
 	}
 	return cr, nil
+}
+
+// jobsPerHyperperiod returns the set's hyper-period H and Σ H/Tᵢ, the sum
+// saturating at limit+1 so an incommensurate period set cannot overflow it.
+func jobsPerHyperperiod(set *task.Set, limit int64) (h, jobs int64) {
+	h, _ = set.Hyperperiod() // task.NewSet has checked that it fits
+	for i := range set.Tasks {
+		j := h / set.Tasks[i].Period
+		if j > limit-jobs {
+			return h, limit + 1
+		}
+		jobs += j
+	}
+	return h, jobs
 }
 
 // SubmitFingerprint computes the canonical fingerprint of a submit/compare

@@ -142,6 +142,28 @@ func TestSubmitDeadReservationBody(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusesJobExplosion: three tasks with near-prime periods
+// (997, 991, 983 ms) release about 2.9M jobs per hyper-period. The body is
+// refused with a 422 at submit and compare before any expansion, well
+// inside a second, where expanding it never returned.
+func TestAdmissionRefusesJobExplosion(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"tasks":[` +
+		`{"name":"a","period_ms":997,"wcec":100,"acec":60,"bcec":20,"ceff":1},` +
+		`{"name":"b","period_ms":991,"wcec":100,"acec":60,"bcec":20,"ceff":1},` +
+		`{"name":"c","period_ms":983,"wcec":100,"acec":60,"bcec":20,"ceff":1}]}`
+	for _, path := range []string{"/v1/schedules", "/v1/compare"} {
+		start := time.Now()
+		code, resp := post(t, ts.URL+path, body)
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: refusal took %v", path, elapsed)
+		}
+		if code != http.StatusUnprocessableEntity || !strings.Contains(resp, "jobs per") {
+			t.Errorf("%s: want a 422 job-count refusal, got %d %s", path, code, resp)
+		}
+	}
+}
+
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxTasks: 2})
 	cases := []struct {
